@@ -34,6 +34,10 @@ class MEImage:
     functions: List[str] = field(default_factory=list)
     stack_layout: Optional[StackLayoutResult] = None
     inputs: List[Tuple[str, str]] = field(default_factory=list)  # (ring, entry)
+    # End (exclusive) of the ``__dispatch`` loop, which is flattened
+    # first: a thread whose pc is below it holds no packet and is not
+    # inside a PPF. 0 (hand-built images) never counts as dispatching.
+    dispatch_end: int = 0
     # Predecoded step programs. ``decode_cache`` is the per-chip
     # identity fast path (weak keys: a cached CompileResult outlives
     # many benchmark chips, and each chip owns multi-MiB memory arrays
@@ -164,6 +168,8 @@ def build_image(result, agg) -> MEImage:
         for bb in fn.blocks:
             image.label_index[bb.label] = len(image.insns)
             image.insns.extend(bb.insns)
+        if name == DISPATCH_NAME:
+            image.dispatch_end = len(image.insns)
     # Resolve branch targets.
     for idx, insn in enumerate(image.insns):
         if isinstance(insn, (Br, Bal)):

@@ -16,6 +16,8 @@ from repro.ixp.microengine import Microengine
 from repro.ixp.rings import Ring, RingSet
 from repro.ixp.rxtx import RxEngine, TxEngine
 
+_FREE_RINGS = ("ring.__buf_free", "ring.__meta_free")
+
 
 class IXP2400:
     """Configured chip: call :meth:`run` (or the measurement helpers in
@@ -32,6 +34,10 @@ class IXP2400:
         self.tx: Optional[TxEngine] = None
         self.xscale = None  # repro.ixp.xscale_core.XScaleCore
         self.meta_words = 8
+        # Handles the loader placed on each free ring (buffer and
+        # metadata pools are the same size); quiescent() compares the
+        # free rings against it.
+        self.pool_packets = 0
         self.now = 0.0
         self._events: List[Tuple[float, int, object]] = []
         self._seq = 0
@@ -123,6 +129,34 @@ class IXP2400:
             return self.now + max(poll_cycles, busy)
 
         self.schedule(poll_cycles, xscale_event)
+
+    # -- quiescence ---------------------------------------------------------------------
+
+    def quiescent(self) -> bool:
+        """True only when no packet can still reach Tx.
+
+        Four conditions: one-shot Rx has injected its last packet; both
+        free rings hold the whole pool again (no handle is held by a
+        ring, a thread or the XScale); every other ring is empty; and
+        every running ME thread is inside its image's ``__dispatch``
+        loop (so none is inside a PPF that could ``packet_create``).
+        From then on the chip can only poll empty rings, and the Tx
+        record list can never grow."""
+        rx = self.rx
+        if rx is None or rx.repeat or not rx.exhausted:
+            return False
+        for name, ring in self.rings.rings.items():
+            if name in _FREE_RINGS:
+                if len(ring.items) != self.pool_packets:
+                    return False
+            elif ring.items:
+                return False
+        for me in self.mes:
+            end = me.image.dispatch_end
+            for t in me.threads:
+                if not t.halted and t.pc >= end:
+                    return False
+        return True
 
     # -- main loop ----------------------------------------------------------------------
 

@@ -59,6 +59,16 @@ class RxEngine:
     def dropped(self) -> int:
         return self.dropped_freelist + self.dropped_ring_full
 
+    @property
+    def exhausted(self) -> bool:
+        """No packet is left to inject: the ``max_packets`` budget is
+        spent, the trace is empty, or a one-shot trace was fully sent."""
+        if self.max_packets is not None and self.sent >= self.max_packets:
+            return True
+        if not self.packets:
+            return True
+        return not self.repeat and self.sent >= len(self.packets)
+
     def interval_cycles(self, frame_bytes: int) -> float:
         seconds = frame_bytes * 8 / (self.offered_gbps * GBPS)
         return seconds * ME_HZ
@@ -71,11 +81,7 @@ class RxEngine:
         one-shot trace fully sent) run *before* a packet is selected, so
         ``sent`` is exactly the number of injected packets under every
         combination of ``repeat`` and ``max_packets``."""
-        if self.max_packets is not None and self.sent >= self.max_packets:
-            return None
-        if not self.packets:
-            return None
-        if not self.repeat and self.sent >= len(self.packets):
+        if self.exhausted:
             return None
         tp = self.packets[self.sent % len(self.packets)]
         self.sent += 1

@@ -45,13 +45,6 @@ def _bits_of(type_: T.Type) -> int:
     return 32
 
 
-def _to_signed(value: int, bits: int) -> int:
-    sign = 1 << (bits - 1)
-    return (value & ((1 << bits) - 1)) ^ sign if False else (
-        value - (1 << bits) if value & sign else value
-    )
-
-
 class GlobalMemory:
     """Byte-addressed big-endian storage for every global variable."""
 

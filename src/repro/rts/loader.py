@@ -103,6 +103,7 @@ def load_system(result, chip: IXP2400, n_mes: Optional[int] = None,
         dram_ptr += BUFFER_BYTES
     if dram_ptr > len(chip.memory.stores["dram"]):
         raise LoaderError("DRAM exhausted by buffer pool")
+    chip.pool_packets = POOL_PACKETS
 
     # SRAM stack overflow area.
     chip.symbols["__stack"] = sram_ptr

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.ixp.chip import IXP2400
 from repro.ixp.counters import AccessProfile, Counters
@@ -263,6 +263,14 @@ def verify_against_reference(result, trace: Trace, packets: int = 60,
                              n_mes: int = 2) -> bool:
     """Differential oracle: the simulator's transmitted payload multiset
     must match the functional interpreter's on the same finite trace."""
+    _, got, want = run_oracle(result, trace, packets=packets, n_mes=n_mes)
+    return got == want
+
+
+def run_oracle(result, trace: Trace, packets: int = 60, n_mes: int = 2
+               ) -> Tuple[IXP2400, List[bytes], List[bytes]]:
+    """The simulation behind :func:`verify_against_reference`: returns
+    the stopped chip and the sorted (simulator, reference) payloads."""
     from repro.baker.lowering import lower_program
     from repro.profiler.interpreter import run_reference
 
@@ -277,12 +285,16 @@ def verify_against_reference(result, trace: Trace, packets: int = 60,
     tx = TxEngine(chip)
     chip.attach_traffic(rx, tx)
     expected = ref.profile.packets_out
-    # Both limits are relative budgets from a fresh chip: a generous cap
-    # for the run itself, then a short fixed drain window for stragglers
-    # (XScale round trips). run_for makes the relative/absolute
-    # distinction explicit -- chip.run() takes an absolute deadline.
-    chip.run_for(100e6, stop=lambda: tx.packets_out() >= expected)
-    chip.run_for(300_000)
+    # Both phases also stop once the chip is quiescent (no packet can
+    # still reach Tx): a chip that lost frames stops as soon as the last
+    # one is gone, and late or extra frames are still in flight before
+    # quiescence, so they are compared all the same. The two relative
+    # budgets stay as hard caps for a chip that never quiesces (a
+    # leaked handle, a stuck thread): a generous one for the run, then
+    # a short drain window for stragglers (XScale round trips).
+    chip.run_for(100e6, stop=lambda: (tx.packets_out() >= expected
+                                      or chip.quiescent()))
+    if not chip.quiescent():
+        chip.run_for(300_000, stop=chip.quiescent)
     got = sorted(r.payload for r in tx.records)
-    want = ref.tx_signature()
-    return got == want
+    return chip, got, ref.tx_signature()

@@ -1,6 +1,8 @@
 """Meta-tests of the differential oracle: it must actually catch wrong
 code, and the XScale execution paths must carry their weight."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cg import isa
@@ -9,11 +11,25 @@ from repro.ixp.chip import IXP2400
 from repro.ixp.rxtx import RxEngine, TxEngine
 from repro.options import options_for
 from repro.profiler.trace import ipv4_trace
+from repro.rts import system
 from repro.rts.loader import load_system
-from repro.rts.system import verify_against_reference
+from repro.rts.system import run_oracle, verify_against_reference
 from tests.samples import ETHER_IPV4_PROTOCOLS, MINI_FORWARDER
 
 MACS = [0x0A0000000001, 0x0A0000000002, 0x0A0000000003]
+
+# Forwards every frame except ethertype 0x0999, which it drops.
+DROPPER = ETHER_IPV4_PROTOCOLS + r"""
+module m {
+  ppf go(ether_pkt *ph) from rx {
+    if (ph->type == 0x0999) {
+      packet_drop(ph);
+    } else {
+      channel_put(tx, ph);
+    }
+  }
+}
+"""
 
 
 def test_oracle_detects_corrupted_code():
@@ -31,6 +47,68 @@ def test_oracle_detects_corrupted_code():
     assert not verify_against_reference(result, trace, packets=30)
     victim.b = isa.Imm(1)
     assert verify_against_reference(result, trace, packets=30)
+
+
+def test_oracle_fails_fast_on_lost_frames():
+    """Point the drop test at IPv4 (0x0800): every frame is dropped. The
+    oracle must fail, and stop once the chip is quiescent rather than
+    polling empty rings up to its 100e6-cycle cap."""
+    trace = ipv4_trace(30, [0xC0A80101], MACS, seed=3)
+    result = compile_baker(DROPPER, options_for("SWC"), trace)
+    image = next(iter(result.images.values()))
+    victims = [i for i in image.insns
+               if isinstance(i, isa.Immed) and i.value == 0x0999]
+    assert victims
+    for insn in victims:
+        insn.value = 0x0800
+    chip, got, want = run_oracle(result, trace, packets=30)
+    assert got == [] and len(want) == 30
+    assert chip.quiescent()
+    assert chip.now < 1e6
+    assert not verify_against_reference(result, trace, packets=30)
+
+
+class _OneExtraFrameRx(RxEngine):
+    """Injects the finite trace plus a copy of its last packet, so the
+    chip transmits one frame more than the reference -- last, after
+    the expected count is already reached."""
+
+    def __init__(self, chip, trace, **kw):
+        super().__init__(chip, trace, **kw)
+        self.packets.append(self.packets[-1])
+        self.max_packets += 1
+
+
+def test_oracle_catches_extra_frame_after_expected_count(monkeypatch):
+    trace = ipv4_trace(30, [0xC0A80101], MACS, seed=3)
+    result = compile_baker(MINI_FORWARDER, options_for("SWC"), trace)
+    assert verify_against_reference(result, trace, packets=30)
+    monkeypatch.setattr(system, "RxEngine", _OneExtraFrameRx)
+    chip, got, want = run_oracle(result, trace, packets=30)
+    extra = Counter(got) - Counter(want)
+    assert len(got) == len(want) + 1
+    assert list(extra) == [chip.tx.records[-1].payload]
+    assert not verify_against_reference(result, trace, packets=30)
+
+
+class _RepeatingRx(RxEngine):
+    """Same packet budget, but ``repeat=True``: never quiescent."""
+
+    def __init__(self, chip, trace, **kw):
+        kw["repeat"] = True
+        super().__init__(chip, trace, **kw)
+
+
+def test_oracle_drain_cap_holds_without_quiescence(monkeypatch):
+    """A chip that never quiesces still gets exactly the fixed drain
+    window after the expected count, and the verdict is unchanged."""
+    trace = ipv4_trace(30, [0xC0A80101], MACS, seed=3)
+    result = compile_baker(MINI_FORWARDER, options_for("SWC"), trace)
+    monkeypatch.setattr(system, "RxEngine", _RepeatingRx)
+    chip, got, want = run_oracle(result, trace, packets=30)
+    assert got == want
+    assert not chip.quiescent()
+    assert chip.now >= 300_000
 
 
 def test_oracle_detects_wrong_route():

@@ -370,3 +370,102 @@ def test_xscale_services_control_packets():
     assert arp_calls > 0
     counter = chip.memory.read_words("sram", chip.symbols["arp_seen"], 1)[0]
     assert counter == arp_calls
+
+
+# -- quiescence -------------------------------------------------------------------------
+
+
+def _quiescence_chip(repeat=False, packets=40):
+    trace = trace40()
+    result = compile_baker(MINI_FORWARDER, options_for("SWC"), trace)
+    chip = IXP2400(n_programmable_mes=2)
+    load_system(result, chip, n_mes=2)
+    rx = RxEngine(chip, trace.repeated(packets), offered_gbps=1.0,
+                  max_packets=packets, repeat=repeat)
+    tx = TxEngine(chip)
+    chip.attach_traffic(rx, tx)
+    return chip, rx, tx
+
+
+FREE_RINGS = ("ring.__buf_free", "ring.__meta_free")
+
+
+def _drained(chip):
+    """Both free rings hold the whole pool and every other ring is empty."""
+    return all(len(ring) == (chip.pool_packets if name in FREE_RINGS else 0)
+               for name, ring in chip.rings.rings.items())
+
+
+def test_dispatch_end_bounds_the_dispatch_loop():
+    trace = trace40()
+    result = compile_baker(MINI_FORWARDER, options_for("SWC"), trace)
+    for image in result.images.values():
+        assert image.functions[0] == "__dispatch"
+        assert 0 < image.dispatch_end < len(image.insns)
+        kinds = {i.kind for i in image.insns[:image.dispatch_end]}
+        assert kinds <= {"br", "ring_get", "cmp", "mov", "bal", "ctx_arb"}
+
+
+def test_quiescent_false_until_rx_is_done():
+    chip, rx, tx = _quiescence_chip()
+    # Rings empty, pools full, threads at the dispatch entry: only the
+    # packets Rx has yet to inject keep the chip live.
+    assert _drained(chip) and not chip.quiescent()
+    chip.run_for(5_000)
+    assert 0 < rx.sent < 40 and not chip.quiescent()
+
+
+def test_quiescent_after_finite_trace_drains():
+    chip, rx, tx = _quiescence_chip()
+    chip.run_for(2e6, stop=chip.quiescent)
+    assert chip.quiescent() and chip.now < 2e6
+    assert rx.exhausted and _drained(chip)
+    assert tx.packets_out() > 0
+    out = tx.packets_out()
+    chip.run_for(300_000)
+    assert chip.quiescent() and tx.packets_out() == out
+
+
+def test_quiescent_false_while_a_handle_is_out():
+    chip, rx, tx = _quiescence_chip()
+    chip.run_for(2e6, stop=chip.quiescent)
+    assert chip.quiescent()
+    # A handle held outside the free rings (by a thread, say).
+    meta_free = chip.rings["ring.__meta_free"]
+    meta = meta_free.get()
+    assert not chip.quiescent()
+    meta_free.put(meta)
+    assert chip.quiescent()
+    # A handle on any other ring: rx, tx, an ME-to-ME or XScale input.
+    for name, ring in chip.rings.rings.items():
+        if name in FREE_RINGS:
+            continue
+        ring.put(0x40)
+        assert not chip.quiescent(), name
+        ring.get()
+    assert chip.quiescent()
+
+
+def test_quiescent_false_while_a_thread_is_in_a_ppf():
+    chip, rx, tx = _quiescence_chip()
+    chip.run_for(2e6, stop=chip.quiescent)
+    thread = chip.mes[0].threads[3]
+    pc = thread.pc
+    thread.pc = chip.mes[0].image.dispatch_end  # first PPF instruction
+    assert not chip.quiescent()
+    thread.halted = True
+    assert chip.quiescent()
+    thread.halted = False
+    thread.pc = pc
+    assert chip.quiescent()
+
+
+def test_quiescent_never_with_repeating_rx():
+    chip, rx, tx = _quiescence_chip(repeat=True)
+    # The packet budget stops Rx, and the chip drains completely, but a
+    # repeating source is never treated as finished.
+    chip.run_for(2e6, stop=lambda: rx.exhausted and _drained(chip))
+    assert rx.exhausted and _drained(chip)
+    assert not chip.quiescent()
+    chip.run_for(100_000)
+    assert not chip.quiescent()
