@@ -20,23 +20,26 @@ from repro.baker.packetmodel import (
 
 def get_bits(buf: bytearray, bit_off: int, width: int) -> int:
     """Read ``width`` bits big-endian starting at absolute ``bit_off``."""
-    out = 0
-    for i in range(width):
-        bit = bit_off + i
-        byte = buf[bit >> 3]
-        out = (out << 1) | ((byte >> (7 - (bit & 7))) & 1)
-    return out
+    first = bit_off >> 3
+    end = (bit_off + width + 7) >> 3
+    if end > len(buf):
+        raise IndexError("bit field [%d, +%d) past end of buffer" % (bit_off, width))
+    word = int.from_bytes(buf[first:end], "big")
+    return (word >> ((end << 3) - bit_off - width)) & ((1 << width) - 1)
 
 
 def set_bits(buf: bytearray, bit_off: int, width: int, value: int) -> None:
-    """Write ``width`` bits big-endian starting at absolute ``bit_off``."""
-    for i in range(width):
-        bit = bit_off + i
-        mask = 1 << (7 - (bit & 7))
-        if (value >> (width - 1 - i)) & 1:
-            buf[bit >> 3] |= mask
-        else:
-            buf[bit >> 3] &= ~mask & 0xFF
+    """Write ``width`` bits big-endian starting at absolute ``bit_off``;
+    the other bits of the covering bytes keep their values."""
+    first = bit_off >> 3
+    end = (bit_off + width + 7) >> 3
+    if end > len(buf):
+        raise IndexError("bit field [%d, +%d) past end of buffer" % (bit_off, width))
+    shift = (end << 3) - bit_off - width
+    mask = ((1 << width) - 1) << shift
+    word = int.from_bytes(buf[first:end], "big")
+    word = (word & ~mask) | ((value << shift) & mask)
+    buf[first:end] = word.to_bytes(end - first, "big")
 
 
 class HostPacket:

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baker import types as T
 from repro.baker.packetmodel import HEADROOM_BYTES, META_RX_PORT
+from repro.ir import instructions as I
+from repro.ir.module import IRFunction
 from repro.profiler.hostpackets import HostPacket, get_bits, set_bits
 from repro.profiler.interpreter import InterpError, Interpreter, run_reference
 from repro.profiler.trace import (
@@ -34,17 +37,46 @@ def test_get_set_bits_roundtrip_simple():
     assert get_bits(buf, 4, 12) == 0xABC
 
 
-@settings(max_examples=60)
+def _get_bits_bitwise(buf, bit_off, width):
+    """Bit-at-a-time reference for get_bits."""
+    out = 0
+    for i in range(width):
+        bit = bit_off + i
+        out = (out << 1) | ((buf[bit >> 3] >> (7 - (bit & 7))) & 1)
+    return out
+
+
+def _set_bits_bitwise(buf, bit_off, width, value):
+    """Bit-at-a-time reference for set_bits."""
+    for i in range(width):
+        bit = bit_off + i
+        mask = 1 << (7 - (bit & 7))
+        if (value >> (width - 1 - i)) & 1:
+            buf[bit >> 3] |= mask
+        else:
+            buf[bit >> 3] &= ~mask & 0xFF
+
+
+@settings(max_examples=200)
 @given(
-    off=st.integers(min_value=0, max_value=40),
-    width=st.integers(min_value=1, max_value=48),
+    off=st.integers(min_value=0, max_value=63),
+    width=st.integers(min_value=1, max_value=64),
     data=st.data(),
 )
 def test_get_set_bits_roundtrip_property(off, width, data):
     value = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
-    buf = bytearray(16)
+    init = data.draw(st.binary(min_size=16, max_size=16))
+    buf = bytearray(init)
+    assert get_bits(buf, off, width) == _get_bits_bitwise(buf, off, width)
     set_bits(buf, off, width, value)
     assert get_bits(buf, off, width) == value
+    want = bytearray(init)
+    _set_bits_bitwise(want, off, width, value)
+    assert buf == want
+    # Bytes wholly outside the field are untouched.
+    first, last = off >> 3, (off + width - 1) >> 3
+    assert buf[:first] == init[:first]
+    assert buf[last + 1:] == init[last + 1:]
 
 
 def test_set_bits_leaves_neighbors():
@@ -221,6 +253,89 @@ def test_interpreter_fuel_guard():
     interp = Interpreter(mod, fuel=10_000)
     with pytest.raises(InterpError):
         interp.run_trace(ipv4_trace(1, [1], MACS))
+
+
+# -- error contract: each of these must raise InterpError ---------------------------
+
+
+def _with_function(mod, fn):
+    mod.functions[fn.name] = fn
+    return Interpreter(mod)
+
+
+def test_undefined_temp_raises():
+    fn = IRFunction("bad", "func", T.U32)
+    x = fn.new_temp(T.U32, "x")
+    fn.params.append(x)
+    undefined = fn.new_temp(T.U32, "u")
+    out = fn.new_temp(T.U32, "out")
+    bb = fn.new_block("entry")
+    bb.append(I.BinOp("add", out, x, undefined))
+    bb.terminate(I.Ret(out))
+    interp = _with_function(lower(PASSTHROUGH), fn)
+    with pytest.raises(InterpError, match="undefined temp"):
+        interp.call("bad", [1])
+
+
+def test_ordered_compare_of_packet_handles_raises():
+    fn = IRFunction("bad", "func", T.BOOL)
+    a = fn.new_temp(T.RAW_PACKET, "a")
+    b = fn.new_temp(T.RAW_PACKET, "b")
+    fn.params.extend([a, b])
+    out = fn.new_temp(T.BOOL, "out")
+    bb = fn.new_block("entry")
+    bb.append(I.Cmp("lt_u", out, a, b))
+    bb.terminate(I.Ret(out))
+    interp = _with_function(lower(PASSTHROUGH), fn)
+    with pytest.raises(InterpError, match="packet handles"):
+        interp.call("bad", [HostPacket(b"\x00"), HostPacket(b"\x01")])
+
+
+GLOBAL_TABLE = (
+    "u32 tbl[4];"
+    " u32 get(u32 i) { return tbl[i]; }"
+    " void put(u32 i) { tbl[i] = 7; }"
+    + PASSTHROUGH
+)
+
+
+def test_out_of_bounds_global_load_raises():
+    interp = Interpreter(lower(GLOBAL_TABLE))
+    assert interp.call("get", [3]) == 0
+    with pytest.raises(InterpError, match="out-of-bounds load"):
+        interp.call("get", [4])
+
+
+def test_out_of_bounds_global_store_raises():
+    interp = Interpreter(lower(GLOBAL_TABLE))
+    interp.call("put", [3])
+    assert interp.call("get", [3]) == 7
+    with pytest.raises(InterpError, match="out-of-bounds store"):
+        interp.call("put", [1000])
+
+
+def test_fuel_exhausted_in_called_function():
+    src = (
+        ETHER_IPV4_PROTOCOLS
+        + "u32 spin(u32 x) { while (x > 0) { x = x + 1; } return x; }"
+        + " module m { ppf p(ether_pkt *ph) from rx {"
+        + " ph->type = spin(1); channel_put(tx, ph); } }"
+    )
+    interp = Interpreter(lower(src), fuel=10_000)
+    with pytest.raises(InterpError, match="fuel"):
+        interp.run_trace(ipv4_trace(1, [1], MACS))
+
+
+def test_fuel_exhausted_in_init_block():
+    src = (
+        ETHER_IPV4_PROTOCOLS
+        + "shared u32 n = 0;"
+        + " module m { ppf p(ether_pkt *ph) from rx { channel_put(tx, ph); }"
+        + " init { while (true) { n = n + 1; } } }"
+    )
+    interp = Interpreter(lower(src), fuel=10_000)
+    with pytest.raises(InterpError, match="fuel"):
+        interp.run_inits()
 
 
 def test_call_function_directly():
